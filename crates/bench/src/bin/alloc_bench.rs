@@ -14,7 +14,8 @@
 //! (the legacy first-fit list is O(live); the sharded class caches and
 //! bitfield carving are O(1) for hot sizes).
 //!
-//! `IDO_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
+//! `IDO_BENCH_QUICK=1` shrinks the sweep for CI smoke runs and writes
+//! `target/bench-quick/BENCH_alloc.json` instead of the committed file.
 
 use std::fmt::Write as _;
 
@@ -120,7 +121,7 @@ fn policy_name(p: AllocPolicy) -> &'static str {
 }
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = ido_bench::quick();
     let thread_counts: &[usize] =
         if quick { &[1, 4, 16, 64] } else { &[1, 4, 16, 64, 128, 256] };
     let ops_per_thread: u64 = if quick { 300 } else { 1000 };
@@ -195,6 +196,5 @@ fn main() {
          \"loads_per_op_lo\": {lo:.4}, \"loads_per_op_hi\": {hi:.4}, \"ratio\": {ratio:.4}}}"
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_alloc.json", &json).expect("write BENCH_alloc.json");
-    println!("wrote BENCH_alloc.json");
+    ido_bench::write_bench_json("alloc", &json);
 }

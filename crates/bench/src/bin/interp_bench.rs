@@ -21,7 +21,8 @@
 //! Results are printed as a table and written machine-readably to
 //! `BENCH_interp.json` at the repo root so successive PRs have a perf
 //! trajectory to compare against (see EXPERIMENTS.md for the recorded
-//! history). `IDO_BENCH_QUICK=1` shrinks op counts for the CI smoke run.
+//! history). `IDO_BENCH_QUICK=1` shrinks op counts for the CI smoke run
+//! and writes `target/bench-quick/BENCH_interp.json` instead.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -173,7 +174,7 @@ fn measure_on(
 }
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
+    let quick = ido_bench::quick();
     let ops = ops_per_thread(if quick { 2_000 } else { 20_000 });
     let map = MapSpec { buckets: 64, key_range: 1024 };
     let arith_ops = ops * 8; // dispatch-bound loops are cheap per step
@@ -273,7 +274,5 @@ fn main() {
         sweep_wall_ms
     );
     json.push_str("}\n");
-    if std::fs::write("BENCH_interp.json", &json).is_ok() {
-        println!("wrote BENCH_interp.json");
-    }
+    ido_bench::write_bench_json("interp", &json);
 }

@@ -16,7 +16,9 @@
 //! All quantities are simulated (MinClock discrete-event scheduling, the
 //! NVM latency model), so `BENCH_lockfree.json` is byte-identical across
 //! hosts and `IDO_JOBS` settings; CI diffs a quick run at jobs=1 vs
-//! jobs=2. `IDO_BENCH_QUICK=1` shrinks the sweep for that smoke gate.
+//! jobs=2. `IDO_BENCH_QUICK=1` shrinks the sweep for that smoke gate and
+//! writes `target/bench-quick/BENCH_lockfree.json` instead of the
+//! committed file.
 
 use std::fmt::Write as _;
 
@@ -35,7 +37,7 @@ struct Series {
 }
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = ido_bench::quick();
     let threads: &[usize] = if quick { &[1, 4, 16] } else { &[1, 4, 16, 64, 128, 256] };
     let mixes: &[u64] = if quick { &[500] } else { &[100, 500, 900] };
     let ops = ops_per_thread(if quick { 60 } else { 200 });
@@ -150,6 +152,5 @@ fn main() {
         let _ = writeln!(json, "    ]}}{}", if mi + 1 < per_mix.len() { "," } else { "" });
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_lockfree.json", &json).expect("write BENCH_lockfree.json");
-    println!("wrote BENCH_lockfree.json");
+    ido_bench::write_bench_json("lockfree", &json);
 }

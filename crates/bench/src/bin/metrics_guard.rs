@@ -83,7 +83,7 @@ fn best_ns_per_step(markers: bool, metrics: MetricsConfig, iters: u64) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
+    let quick = ido_bench::quick();
     let iters: u64 = if quick { 300_000 } else { 1_000_000 };
     let tol: f64 = std::env::var("IDO_GUARD_TOL")
         .ok()

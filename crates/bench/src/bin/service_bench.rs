@@ -17,7 +17,8 @@
 //! (`BENCH_service.json`, `service_windows.csv`, the Perfetto counter
 //! tracks, the Prometheus text snapshot) is byte-identical across hosts
 //! and `IDO_JOBS` settings; CI diffs the JSON. `IDO_BENCH_QUICK=1`
-//! shrinks the fleet for CI smoke runs.
+//! shrinks the fleet for CI smoke runs and writes
+//! `target/bench-quick/BENCH_service.json` instead of the committed file.
 
 use std::fmt::Write as _;
 
@@ -168,7 +169,7 @@ fn run_scheme(scheme: Scheme, g: Geometry) -> SchemeResult {
 }
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = ido_bench::quick();
     let g = if quick { QUICK } else { FULL };
     // Every durable scheme; Origin has nothing to recover.
     let schemes: Vec<Scheme> =
@@ -285,6 +286,5 @@ fn main() {
     ido_trace::json::validate_json(&json).expect("BENCH_service.json is valid JSON");
     ido_trace::json::validate_json(&std::fs::read_to_string(&perfetto).expect("reread perfetto"))
         .expect("perfetto counter export is valid JSON");
-    std::fs::write("BENCH_service.json", &json).expect("write BENCH_service.json");
-    println!("wrote BENCH_service.json");
+    ido_bench::write_bench_json("service", &json);
 }

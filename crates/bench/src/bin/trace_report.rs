@@ -44,7 +44,7 @@ fn hist_rows(rows: &mut Vec<String>, scheme: Scheme, hist: &Hist) {
 }
 
 fn main() -> ExitCode {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
+    let quick = ido_bench::quick();
     let smoke = std::env::var("IDO_TRACE_SMOKE").is_ok_and(|v| v == "1");
     let ops = ops_per_thread(if quick { 40 } else { 250 });
     let mut cfg = bench_config(64, 1 << 14);

@@ -15,7 +15,7 @@ use ido_verify::{differential, lint_workloads, RuntimeModel};
 use ido_workloads::{micro::TwinSpec, standard_specs, WorkloadSpec};
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
+    let quick = ido_bench::quick();
 
     // ---- Lint sweep: every standard workload x every scheme ----
     println!("== Static lint: standard workloads x all schemes ==");

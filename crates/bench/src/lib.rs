@@ -49,6 +49,28 @@ pub fn with_nvm_delay(mut cfg: VmConfig, delay_ns: u64) -> VmConfig {
     cfg
 }
 
+/// True when `IDO_BENCH_QUICK=1`: the binaries shrink their sweeps for CI
+/// smoke runs. Any other value, or none, means a full run.
+pub fn quick() -> bool {
+    std::env::var("IDO_BENCH_QUICK").is_ok_and(|v| v == "1")
+}
+
+/// Writes a `BENCH_<name>.json` file. Full runs write the committed
+/// trajectory at the repo root; quick runs write under
+/// `target/bench-quick/`, so smoke runs never overwrite it.
+pub fn write_bench_json(name: &str, json: &str) {
+    let file = format!("BENCH_{name}.json");
+    let path = if quick() {
+        let dir = PathBuf::from("target/bench-quick");
+        fs::create_dir_all(&dir).expect("create target/bench-quick");
+        dir.join(file)
+    } else {
+        PathBuf::from(file)
+    };
+    fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
 /// Number of operations per thread, overridable with `IDO_BENCH_OPS`.
 pub fn ops_per_thread(default: u64) -> u64 {
     std::env::var("IDO_BENCH_OPS").ok().and_then(|v| v.parse().ok()).unwrap_or(default)

@@ -11,16 +11,24 @@
 //!    the distinct *persist boundaries* — step 0, every step whose counter
 //!    advanced, and the final step — cover every reachable NVM crash state
 //!    exactly once.
-//! 2. **Crash-state exploration** — for each boundary step, deterministically
-//!    replays a fresh VM to that step (the schedule is a pure function of the
-//!    seed, program, and spawn order), reads the set of dirty cache lines,
-//!    and crashes with `CrashPolicy::Subset` once per candidate *lost-line
-//!    set*: exhaustively (all `2^n` subsets) when few lines are dirty, and
-//!    with a bounded cover (everything, nothing, every singleton, every
-//!    co-singleton, plus seeded random subsets) when many are.
+//! 2. **Crash-state exploration** — the boundaries are split into
+//!    contiguous chunks, and one VM *walks* each chunk: it advances with
+//!    `run_steps` from boundary to boundary (the schedule is a pure
+//!    function of the seed, program, and spawn order), reads the set of
+//!    dirty cache lines, and crashes with `CrashPolicy::Subset` once per
+//!    candidate *lost-line set*: exhaustively (all `2^n` subsets) when few
+//!    lines are dirty, and with a bounded cover (everything, nothing, every
+//!    singleton, every co-singleton, plus seeded random subsets) when many
+//!    are. Each crash happens under a pool checkpoint
+//!    ([`ido_nvm::PmemPool::checkpoint`]) and is rolled back afterwards,
+//!    so the walk resumes from the exact pre-crash state and a crash state
+//!    costs only the lines it touches, not a replay from step 0.
 //! 3. **Verification** — after each injected crash the scheme's recovery
 //!    runs, the workload's own invariants are checked, and recovery is
 //!    re-run to confirm idempotence — all under `catch_unwind`.
+//!    [`check_crash_state`] does the same for one state on a fresh replay;
+//!    it is the reference the walker is tested against, and what shrinking
+//!    and [`Counterexample::reproduce`] use.
 //! 4. **Shrinking** — on failure, the lost-line set is greedily minimized
 //!    (drop any line whose loss is not needed to fail), then the crash step
 //!    is minimized to the earliest boundary where that set still fails. The
@@ -43,7 +51,7 @@ use std::rc::Rc;
 use std::sync::Once;
 
 use ido_compiler::{instrument_program, Instrumented, Scheme};
-use ido_nvm::{CrashPolicy, PersistEvent};
+use ido_nvm::{CrashPolicy, PersistEvent, PmemPool};
 use ido_vm::{recover, recover_partial, RecoveryConfig, RunOutcome, StepControl, Vm, VmConfig};
 use ido_workloads::WorkloadSpec;
 
@@ -72,8 +80,15 @@ pub const DURABLE_SCHEMES: [Scheme; 6] = [
 pub struct OracleConfig {
     /// Worker threads to spawn.
     pub threads: usize,
-    /// Operations per worker thread. Keep `threads * ops_per_thread` small
-    /// (≤ 50 ops total) so exhaustive boundary enumeration stays fast.
+    /// Operations per worker thread. Exploration cost is one replay of
+    /// the run per chunk of boundaries plus, per crash state, a crash,
+    /// recovery, verification, and rollback whose cost follows the lines
+    /// and live data they touch — not the pool size or the crash step.
+    /// Boundaries grow linearly with `threads * ops_per_thread`, and each
+    /// contributes up to `2^exhaustive_subset_limit` (or
+    /// `max_subsets_per_step`) states, so the state count is what to
+    /// budget: `corpus/map.ido` at 4 threads × 8 ops is ~17.5k states
+    /// over the six durable schemes, a fraction of a second in release.
     pub ops_per_thread: u64,
     /// Seed for the VM scheduler; the whole exploration is a deterministic
     /// function of it (plus the workload, scheme, and config).
@@ -322,21 +337,80 @@ pub fn check_crash_state(
 ) -> Result<(), String> {
     let (mut vm, base) = make_vm(spec, inst, cfg);
     vm.run_steps(step);
-    let policy = CrashPolicy::losing(lost_lines.iter().copied());
-    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &policy);
+    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost_lines.iter().copied()));
+    verify_recovery(spec, inst, cfg, &pool, &base)
+}
+
+/// Recovers a crashed `pool`, verifies the workload's invariants on a
+/// re-attached VM, and recovers again to confirm idempotence, all under
+/// `catch_unwind`. `base` is the workload's set-up result.
+fn verify_recovery(
+    spec: &dyn WorkloadSpec,
+    inst: &Instrumented,
+    cfg: &OracleConfig,
+    pool: &PmemPool,
+    base: &[u64],
+) -> Result<(), String> {
     let vc = cfg.vm_config();
-    let total_ops = cfg.total_ops();
     quiet_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let _ = recover(pool.clone(), inst.clone(), vc.clone(), RecoveryConfig::for_tests());
             let post = Vm::attach(pool.clone(), inst.clone(), vc.clone());
-            spec.verify(&post, &base, total_ops);
+            spec.verify(&post, base, cfg.total_ops());
             drop(post);
-            let second = recover(pool, inst.clone(), vc, RecoveryConfig::for_tests());
+            let second = recover(pool.clone(), inst.clone(), vc, RecoveryConfig::for_tests());
             assert_eq!(second.resumed, 0, "second recovery must find nothing to resume");
         }))
     })
     .map_err(panic_text)
+}
+
+/// One checked crash state: boundary step, lost lines, verdict.
+pub type StateVerdict = (u64, Vec<usize>, Result<(), String>);
+
+/// Walks an ascending run of boundary `steps` with a single VM and returns
+/// every checked state in order, stopping after the first failure if
+/// `stop_at_failure`. At each boundary every candidate subset is checked
+/// under a pool checkpoint — crash, [`verify_recovery`], rollback — so the
+/// VM resumes from the untouched pre-crash state; its threads and handles
+/// are never used in between. Each verdict equals [`check_crash_state`]'s
+/// for the same (step, subset).
+fn walk(
+    spec: &dyn WorkloadSpec,
+    inst: &Instrumented,
+    cfg: &OracleConfig,
+    steps: &[u64],
+    stop_at_failure: bool,
+) -> Vec<StateVerdict> {
+    let (mut vm, base) = make_vm(spec, inst, cfg);
+    let pool = vm.pool().clone();
+    let mut at = 0;
+    let mut out = Vec::new();
+    for &step in steps {
+        vm.run_steps(step - at);
+        at = step;
+        for lost in candidate_subsets(&pool.dirty_lines(), cfg, step) {
+            pool.checkpoint();
+            pool.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost.iter().copied()));
+            let verdict = verify_recovery(spec, inst, cfg, &pool, &base);
+            pool.rollback();
+            let failed = verdict.is_err();
+            out.push((step, lost, verdict));
+            if failed && stop_at_failure {
+                return out;
+            }
+        }
+    }
+    out
+}
+
+/// Every crash state [`explore`] would check for `spec` under `scheme`, in
+/// (boundary, subset) order, with its verdict — without stopping at
+/// failures. Lets tests hold the walker to [`check_crash_state`].
+pub fn walk_verdicts(spec: &dyn WorkloadSpec, scheme: Scheme, cfg: &OracleConfig) -> Vec<StateVerdict> {
+    let inst = instrument(spec, scheme);
+    let (_, _, boundaries) = persist_boundaries(spec, &inst, cfg);
+    walk(spec, &inst, cfg, &boundaries, false)
 }
 
 /// Checks one crash-**during-recovery** state: replay to `step`, crash
@@ -601,7 +675,7 @@ pub fn explore(spec: &dyn WorkloadSpec, scheme: Scheme, cfg: &OracleConfig) -> E
     explore_jobs(ido_par::jobs(), spec, scheme, cfg)
 }
 
-/// [`explore`] with an explicit worker count for the per-boundary fan-out.
+/// [`explore`] with an explicit worker count for the per-chunk fan-out.
 /// The determinism tests use this to compare `jobs = 1` against `jobs = N`
 /// in-process without racing on the `IDO_JOBS` environment variable.
 pub fn explore_jobs(
@@ -613,55 +687,36 @@ pub fn explore_jobs(
     let inst = instrument(spec, scheme);
     let (total_steps, persist_events, boundaries) = persist_boundaries(spec, &inst, cfg);
 
-    // Fan the per-boundary checks out over ido-par's deterministic ordered
-    // parallel map (worker count from IDO_JOBS). Each task is a pure
-    // function of (workload, scheme, config, boundary step): it replays
-    // its own VM over its own pool, enumerates candidate lost-line
-    // subsets, and stops at its boundary's first failure — exactly the
-    // inner loop of the old serial sweep. Results return in boundary
-    // order, so the first failing boundary *in input order* (and hence
-    // the shrunk counterexample) is identical for any job count.
+    // Fan contiguous chunks of boundaries out over ido-par's deterministic
+    // ordered parallel map, one walker VM per chunk, each stopping at its
+    // first failure. Chunks return in boundary order, so the states up to
+    // the first failure *in input order* — and hence the count and the
+    // shrunk counterexample — are identical for any job count: every
+    // chunk before the failing one ran to its end. With several jobs each
+    // gets a few chunks so the work balances; the extra replay of each
+    // chunk's prefix is cheap next to checking its states.
+    let chunks = if jobs <= 1 { 1 } else { jobs * 4 };
+    let chunk_len = boundaries.len().div_ceil(chunks).max(1);
     let inst_ref = &inst;
-    let outcomes: Vec<(usize, Option<(Vec<usize>, String)>)> =
-        ido_par::par_map_jobs(jobs, boundaries.clone(), |step| {
-            let (mut vm, _) = make_vm(spec, inst_ref, cfg);
-            vm.run_steps(step);
-            let dirty = vm.pool().dirty_lines();
-            drop(vm);
-            let mut checked = 0usize;
-            for lost in candidate_subsets(&dirty, cfg, step) {
-                checked += 1;
-                if let Err(failure) = check_crash_state(spec, inst_ref, cfg, step, &lost) {
-                    return (checked, Some((lost, failure)));
-                }
-            }
-            (checked, None)
-        });
+    let mut states: Vec<StateVerdict> =
+        ido_par::par_map_jobs(jobs, boundaries.chunks(chunk_len).collect(), |chunk| {
+            walk(spec, inst_ref, cfg, chunk, true)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
-    // Reassemble serial semantics: `explored` counts every subset checked
-    // up to and including the first failing one; later boundaries (which
-    // the serial loop never reached) contribute nothing. Shrinking stays
-    // serial — it is a data-dependent greedy walk from one failure.
-    let mut explored = 0usize;
+    // Serial semantics: count every state up to and including the first
+    // failure; shrinking stays serial — it is a data-dependent greedy walk
+    // from one failure.
+    let first_failure = states.iter().position(|s| s.2.is_err());
+    let explored = first_failure.map_or(states.len(), |i| i + 1);
     let mut shrinks = 0usize;
-    let mut counterexample = None;
-    for (&step, (checked, fail)) in boundaries.iter().zip(outcomes) {
-        explored += checked;
-        if let Some((lost, failure)) = fail {
-            counterexample = Some(shrink(
-                spec,
-                &inst,
-                cfg,
-                scheme,
-                &boundaries,
-                step,
-                lost,
-                failure,
-                &mut shrinks,
-            ));
-            break;
-        }
-    }
+    let counterexample = first_failure.map(|i| {
+        let (step, lost, verdict) = states.swap_remove(i);
+        let failure = verdict.expect_err("position found a failure");
+        shrink(spec, &inst, cfg, scheme, &boundaries, step, lost, failure, &mut shrinks)
+    });
 
     Exploration {
         scheme,

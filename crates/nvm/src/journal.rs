@@ -10,12 +10,17 @@
 //! most recent events in a bounded ring, so a failing exploration can report
 //! the journal tail leading up to the crash.
 //!
+//! The same per-event gate also drives checkpoint capture: while a
+//! [`crate::PmemPool::checkpoint`] is open, the slow path saves the
+//! pre-image of each line the first time an event touches it.
+//!
 //! Recording costs one atomic increment per persist-relevant operation when
-//! disabled (the default), and one short mutex-protected ring push when
-//! enabled.
+//! both modes are off (the default), one short mutex-protected ring push
+//! when the ring is on, and one line copy per first touch under a
+//! checkpoint.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::PAddr;
@@ -120,11 +125,18 @@ impl std::fmt::Display for PersistEvent {
     }
 }
 
+/// [`Journal`] mode bit: retain events in the bounded ring.
+const RING: u8 = 1;
+/// [`Journal`] mode bit: a checkpoint is open; capture line pre-images.
+const UNDO: u8 = 2;
+
 /// Pool-internal journal state: the always-on sequence counter plus the
-/// optionally-recording bounded event ring.
+/// slow-path modes (the bounded event ring, checkpoint capture).
 pub(crate) struct Journal {
     seq: AtomicU64,
-    recording: AtomicBool,
+    /// Bitwise OR of [`RING`] and [`UNDO`]; zero keeps every event on
+    /// the fast path.
+    mode: AtomicU8,
     capacity: AtomicUsize,
     ring: Mutex<VecDeque<PersistEvent>>,
     /// Persist-event number at which to simulate a mid-operation crash by
@@ -139,7 +151,7 @@ impl Default for Journal {
     fn default() -> Self {
         Journal {
             seq: AtomicU64::new(0),
-            recording: AtomicBool::new(false),
+            mode: AtomicU8::new(0),
             capacity: AtomicUsize::new(0),
             ring: Mutex::new(VecDeque::new()),
             trap_at: AtomicU64::new(u64::MAX),
@@ -153,19 +165,50 @@ impl Journal {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Advances the sequence number; materializes and retains the event
-    /// only when recording. `kind` is lazily built so the disabled path
-    /// stays one atomic increment plus two relaxed flag loads — inlined
-    /// into every store/clwb/sfence, with the ring push and the trap
-    /// panic outlined as cold paths.
+    /// Rewinds the sequence number to `seq` (checkpoint rollback).
+    pub(crate) fn set_seq(&self, seq: u64) {
+        self.seq.store(seq, Ordering::Relaxed);
+    }
+
+    /// Advances the sequence number; runs the slow path only when a mode
+    /// is on. `kind` and `capture` are lazy so the disabled path stays one
+    /// atomic increment plus two relaxed flag loads — inlined into every
+    /// store/clwb/sfence. Both closures are called here, inside the
+    /// branch, and only reach outlined cold code with plain values: a
+    /// closure passed on to an outlined function would pin the store's
+    /// locals to the stack on the hot path. `capture` saves the
+    /// pre-images of the lines the event touched; it runs only while a
+    /// checkpoint is open, before the trap check, so a trapped store's
+    /// line is saved before the trap unwinds.
     #[inline(always)]
-    pub(crate) fn record(&self, kind: impl FnOnce() -> PersistEventKind) {
+    pub(crate) fn record(&self, kind: impl FnOnce() -> PersistEventKind, capture: impl FnOnce()) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if self.recording.load(Ordering::Relaxed) {
-            self.retain(seq, kind());
+        let mode = self.mode.load(Ordering::Relaxed);
+        if mode != 0 {
+            if mode & UNDO != 0 {
+                capture();
+            }
+            if mode & RING != 0 {
+                self.retain(seq, kind());
+            }
         }
         if seq + 1 == self.trap_at.load(Ordering::Relaxed) {
             self.trap(seq);
+        }
+    }
+
+    /// True while a checkpoint is open.
+    #[inline]
+    pub(crate) fn capturing(&self) -> bool {
+        self.mode.load(Ordering::Relaxed) & UNDO != 0
+    }
+
+    /// Opens or closes checkpoint capture.
+    pub(crate) fn set_capturing(&self, on: bool) {
+        if on {
+            self.mode.fetch_or(UNDO, Ordering::Relaxed);
+        } else {
+            self.mode.fetch_and(!UNDO, Ordering::Relaxed);
         }
     }
 
@@ -201,12 +244,12 @@ impl Journal {
     /// Starts retaining events in a ring of at most `capacity` entries.
     pub(crate) fn start(&self, capacity: usize) {
         self.capacity.store(capacity.max(1), Ordering::Relaxed);
-        self.recording.store(true, Ordering::Relaxed);
+        self.mode.fetch_or(RING, Ordering::Relaxed);
     }
 
     /// Stops retaining events (the sequence counter keeps advancing).
     pub(crate) fn stop(&self) {
-        self.recording.store(false, Ordering::Relaxed);
+        self.mode.fetch_and(!RING, Ordering::Relaxed);
     }
 
     /// Clears retained events (sequence numbers are not reset).
@@ -235,8 +278,8 @@ mod tests {
     #[test]
     fn seq_advances_without_recording() {
         let j = Journal::default();
-        j.record(|| PersistEventKind::Clwb { line: 1 });
-        j.record(|| PersistEventKind::Clwb { line: 2 });
+        j.record(|| PersistEventKind::Clwb { line: 1 }, || {});
+        j.record(|| PersistEventKind::Clwb { line: 2 }, || {});
         assert_eq!(j.seq(), 2);
         assert!(j.tail(10).is_empty(), "nothing retained while disabled");
     }
@@ -246,7 +289,7 @@ mod tests {
         let j = Journal::default();
         j.start(3);
         for line in 0..5 {
-            j.record(|| PersistEventKind::Clwb { line });
+            j.record(|| PersistEventKind::Clwb { line }, || {});
         }
         let tail = j.tail(10);
         assert_eq!(tail.len(), 3);
@@ -259,9 +302,9 @@ mod tests {
     fn stop_and_clear() {
         let j = Journal::default();
         j.start(8);
-        j.record(|| PersistEventKind::Clwb { line: 0 });
+        j.record(|| PersistEventKind::Clwb { line: 0 }, || {});
         j.stop();
-        j.record(|| PersistEventKind::Clwb { line: 1 });
+        j.record(|| PersistEventKind::Clwb { line: 1 }, || {});
         assert_eq!(j.tail(10).len(), 1, "not retained after stop");
         assert_eq!(j.seq(), 2, "still counted after stop");
         j.clear();
@@ -271,15 +314,15 @@ mod tests {
     #[test]
     fn trap_fires_once_at_the_armed_event() {
         let j = Journal::default();
-        j.record(|| PersistEventKind::Clwb { line: 0 });
+        j.record(|| PersistEventKind::Clwb { line: 0 }, || {});
         j.set_trap(Some(3));
-        j.record(|| PersistEventKind::Clwb { line: 1 }); // event 2: no trap
+        j.record(|| PersistEventKind::Clwb { line: 1 }, || {}); // event 2: no trap
         let r = std::panic::catch_unwind(|| {
-            j.record(|| PersistEventKind::Clwb { line: 2 }); // event 3: trap
+            j.record(|| PersistEventKind::Clwb { line: 2 }, || {}); // event 3: trap
         });
         assert!(r.is_err(), "trap must fire at event 3");
         assert_eq!(j.seq(), 3, "the trapped event still counts");
-        j.record(|| PersistEventKind::Clwb { line: 3 }); // disarmed: no panic
+        j.record(|| PersistEventKind::Clwb { line: 3 }, || {}); // disarmed: no panic
         assert_eq!(j.seq(), 4);
     }
 

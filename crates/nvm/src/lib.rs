@@ -56,6 +56,7 @@ pub mod pad;
 mod pool;
 pub mod root;
 mod stats;
+mod undo;
 
 pub use alloc::AllocPolicy;
 pub use error::NvmError;

@@ -13,6 +13,7 @@ use crate::journal::{Journal, PersistEvent, PersistEventKind};
 use crate::latency::LatencyModel;
 use crate::line::{line_of, lines_spanning, CACHE_LINE, WORDS_PER_LINE};
 use crate::stats::{PersistStats, StatsSnapshot};
+use crate::undo::{Marks, SavedLine, UndoLog};
 use crate::PAddr;
 
 /// Decides which dirty lines survive a [`PmemPool::crash`].
@@ -144,6 +145,8 @@ struct Inner {
     /// Buffers folded from dropped handles, awaiting
     /// [`PmemPool::take_metrics`].
     metrics_bufs: Mutex<Vec<Box<MetricsBuf>>>,
+    /// The open checkpoint's undo log (see [`PmemPool::checkpoint`]).
+    undo: Mutex<UndoLog>,
 }
 
 impl Inner {
@@ -162,13 +165,72 @@ impl Inner {
         self.dirty[line / 64].fetch_and(!(1u64 << (line % 64)), Ordering::Relaxed);
     }
 
+    /// Ascending indices of the dirty lines. Word-level scan: only words
+    /// with set bits cost anything, so this is O(bitmap words + dirty
+    /// lines) rather than O(total lines). Bits beyond the last line can
+    /// never be set (stores are bounds-checked), so no tail masking is
+    /// needed. Each word is read once, so clearing the bits of lines
+    /// already yielded is safe.
+    fn dirty_iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dirty.iter().enumerate().flat_map(|(w, word)| {
+            let mut bits = word.load(Ordering::Relaxed);
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let line = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(line)
+            })
+        })
+    }
+
     #[inline]
     fn writeback_line(&self, line: usize) {
-        let base = line * WORDS_PER_LINE;
-        for i in 0..WORDS_PER_LINE {
-            let v = self.volatile[base + i].load(Ordering::Relaxed);
-            self.persistent[base + i].store(v, Ordering::Relaxed);
+        copy_line(&self.volatile, &self.persistent, line);
+    }
+
+    /// Checkpoint capture for a store to `[addr, addr + len)`: saves each
+    /// line the first time it is touched since [`PmemPool::checkpoint`].
+    /// Lines dirty at the checkpoint were saved by it, so an uncaptured
+    /// line was clean then and has not been stored to since; since a
+    /// clean line has volatile == persistent, its pre-image in both images
+    /// is its persistent copy. Call before the store (`nt_store_u64`) or
+    /// after a cached store, which leaves the persistent image untouched.
+    #[cold]
+    #[inline(never)]
+    fn capture(&self, addr: PAddr, len: usize) {
+        let mut undo = self.lock_undo();
+        for line in lines_spanning(addr, len) {
+            if undo.first_touch(line) {
+                let pre = read_line(&self.persistent, line);
+                undo.save(SavedLine { line, volatile: pre, persistent: pre, dirty: false });
+            }
         }
+    }
+
+    fn lock_undo(&self) -> std::sync::MutexGuard<'_, UndoLog> {
+        self.undo.lock().expect("undo log: no holder panics")
+    }
+}
+
+fn read_line(image: &[AtomicU64], line: usize) -> [u64; WORDS_PER_LINE] {
+    let base = line * WORDS_PER_LINE;
+    std::array::from_fn(|i| image[base + i].load(Ordering::Relaxed))
+}
+
+fn write_line(image: &[AtomicU64], line: usize, words: &[u64; WORDS_PER_LINE]) {
+    let base = line * WORDS_PER_LINE;
+    for (i, &v) in words.iter().enumerate() {
+        image[base + i].store(v, Ordering::Relaxed);
+    }
+}
+
+#[inline]
+fn copy_line(from: &[AtomicU64], to: &[AtomicU64], line: usize) {
+    let base = line * WORDS_PER_LINE;
+    for i in base..base + WORDS_PER_LINE {
+        to[i].store(from[i].load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
@@ -245,6 +307,7 @@ impl PmemPool {
                 metrics_base_ns: AtomicU64::new(metrics.base_ns),
                 metrics_next_tid: AtomicU64::new(0),
                 metrics_bufs: Mutex::new(Vec::new()),
+                undo: Mutex::new(UndoLog::default()),
             }),
         }
     }
@@ -386,14 +449,22 @@ impl PmemPool {
     /// at the crash point it is exploring, without rebuilding the pool.
     pub fn crash_with(&self, seed: u64, policy: &CrashPolicy) -> CrashOutcome {
         let inner = &*self.inner;
-        let lines = inner.config.size / CACHE_LINE;
         let mut rng = SplitMix64::new(seed ^ 0x1d0_c4a5);
         let mut evicted = 0usize;
         let mut dropped = 0usize;
-        for l in 0..lines {
-            if !self.is_dirty(l) {
-                continue;
-            }
+        // Only dirty lines can differ between the images (a clean line has
+        // volatile == persistent), so resolving each dirty line and
+        // reloading just the lost ones leaves the volatile image equal to
+        // the persistent one: what a fresh process mapping the NVM region
+        // observes. Lines are visited in ascending order, the order
+        // `Random` draws in. Under a checkpoint every dirty line is
+        // already captured (by the checkpoint or by the store that
+        // dirtied it), so the crash itself needs no capture.
+        for l in inner.dirty_iter() {
+            debug_assert!(
+                !inner.journal.capturing() || inner.lock_undo().is_captured(l),
+                "dirty line {l} escaped checkpoint capture"
+            );
             let survive = match policy {
                 CrashPolicy::DropDirty => false,
                 CrashPolicy::EvictAll => true,
@@ -403,24 +474,19 @@ impl PmemPool {
                 CrashPolicy::Subset { lost } => !lost.contains(&l),
             };
             if survive {
-                self.writeback_line(l);
+                inner.writeback_line(l);
                 evicted += 1;
             } else {
+                copy_line(&inner.persistent, &inner.volatile, l);
                 dropped += 1;
             }
-            self.clear_dirty(l);
-        }
-        // The "new process" sees only what persisted.
-        for w in 0..inner.volatile.len() {
-            let v = inner.persistent[w].load(Ordering::Relaxed);
-            inner.volatile[w].store(v, Ordering::Relaxed);
+            inner.clear_dirty(l);
         }
         inner.crashes.fetch_add(1, Ordering::Relaxed);
-        inner.journal.record(|| PersistEventKind::Crash {
-            policy: policy.name(),
-            evicted,
-            dropped,
-        });
+        inner.journal.record(
+            || PersistEventKind::Crash { policy: policy.name(), evicted, dropped },
+            || {},
+        );
         if inner.trace_enabled.load(Ordering::Relaxed) {
             // Record the crash as a pool-level event, timestamped at the
             // latest simulated instant any (already-folded) thread
@@ -439,20 +505,87 @@ impl PmemPool {
     /// reads this at a prospective crash point to know which line subsets
     /// are worth losing.
     pub fn dirty_lines(&self) -> Vec<usize> {
-        // Word-level scan: only words with set bits cost anything, so this
-        // is O(bitmap words + dirty lines) rather than O(total lines) —
-        // it runs once per crash state in the oracle's inner loop. Bits
-        // beyond `lines` can never be set (stores are bounds-checked), so
-        // no tail masking is needed.
-        let mut out = Vec::new();
-        for (w, word) in self.inner.dirty.iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            while bits != 0 {
-                out.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
+        self.inner.dirty_iter().collect()
+    }
+
+    /// Opens a checkpoint: until [`PmemPool::rollback`], the pool keeps a
+    /// line-granular undo log so that rollback can return it to exactly
+    /// this state — both images, the dirty set, the persist sequence
+    /// ([`PmemPool::persist_event_count`]), [`PmemPool::crash_count`],
+    /// [`PmemPool::global_stats`], and the trace and metrics collectors.
+    /// The crash oracle's walker uses this to crash, recover, and verify a
+    /// paused run, then resume it.
+    ///
+    /// The checkpoint saves the lines dirty now, in both images. After
+    /// that, the first store, byte store, or non-temporal store to each
+    /// line saves its pre-image; a line that was clean has volatile ==
+    /// persistent, so its pre-image is its persistent copy. Nothing else
+    /// changes a line's images: write-backs and crashes only touch dirty
+    /// lines, which are already saved. Capture rides on the persist
+    /// journal's slow path, so it costs nothing while no checkpoint is
+    /// open, and its cost under a checkpoint follows the lines touched,
+    /// not the pool size.
+    ///
+    /// Not covered: handles (their clocks, pending write-backs, and local
+    /// statistics live outside the pool), the journal's retained events,
+    /// and the persist trap. Callers must not access the pool from other
+    /// threads while a checkpoint is open.
+    ///
+    /// # Panics
+    /// Panics if a checkpoint is already open.
+    pub fn checkpoint(&self) {
+        let inner = &*self.inner;
+        assert!(!inner.journal.capturing(), "checkpoint already open");
+        let mut undo = inner.lock_undo();
+        let marks = Marks {
+            seq: inner.journal.seq(),
+            crashes: inner.crashes.load(Ordering::Relaxed),
+            stats: inner.global_stats.snapshot(),
+            trace_bufs: inner.trace_bufs.lock().expect("trace collector").len(),
+            trace_next_tid: inner.trace_next_tid.load(Ordering::Relaxed),
+            metrics_bufs: inner.metrics_bufs.lock().expect("metrics collector").len(),
+            metrics_next_tid: inner.metrics_next_tid.load(Ordering::Relaxed),
+        };
+        undo.open(inner.config.size / CACHE_LINE, marks);
+        for line in inner.dirty_iter() {
+            undo.first_touch(line);
+            undo.save(SavedLine {
+                line,
+                volatile: read_line(&inner.volatile, line),
+                persistent: read_line(&inner.persistent, line),
+                dirty: true,
+            });
+        }
+        inner.journal.set_capturing(true);
+    }
+
+    /// Returns the pool to the state of the open [`PmemPool::checkpoint`]
+    /// and closes it. Costs O(lines saved).
+    ///
+    /// # Panics
+    /// Panics if no checkpoint is open.
+    pub fn rollback(&self) {
+        let inner = &*self.inner;
+        assert!(inner.journal.capturing(), "rollback without a checkpoint");
+        inner.journal.set_capturing(false);
+        let mut undo = inner.lock_undo();
+        for s in undo.drain() {
+            write_line(&inner.volatile, s.line, &s.volatile);
+            write_line(&inner.persistent, s.line, &s.persistent);
+            if s.dirty {
+                inner.set_dirty(s.line);
+            } else {
+                inner.clear_dirty(s.line);
             }
         }
-        out
+        let m = undo.marks;
+        inner.journal.set_seq(m.seq);
+        inner.crashes.store(m.crashes, Ordering::Relaxed);
+        inner.global_stats.restore_global(&m.stats);
+        inner.trace_bufs.lock().expect("trace collector").truncate(m.trace_bufs);
+        inner.trace_next_tid.store(m.trace_next_tid, Ordering::Relaxed);
+        inner.metrics_bufs.lock().expect("metrics collector").truncate(m.metrics_bufs);
+        inner.metrics_next_tid.store(m.metrics_next_tid, Ordering::Relaxed);
     }
 
     /// Total persist-relevant events (stores, write-backs, fences, crashes)
@@ -532,14 +665,6 @@ impl PmemPool {
 
     fn is_dirty(&self, line: usize) -> bool {
         self.inner.is_dirty(line)
-    }
-
-    fn clear_dirty(&self, line: usize) {
-        self.inner.clear_dirty(line);
-    }
-
-    fn writeback_line(&self, line: usize) {
-        self.inner.writeback_line(line);
     }
 }
 
@@ -789,7 +914,10 @@ impl PmemHandle {
         let line = line_of(addr);
         let line_was_clean = !self.inner.is_dirty(line);
         self.inner.set_dirty(line);
-        self.inner.journal.record(|| PersistEventKind::Store { addr, value, line_was_clean });
+        self.inner.journal.record(
+            || PersistEventKind::Store { addr, value, line_was_clean },
+            || self.inner.capture(addr, 8),
+        );
     }
 
     /// Stores a word with log-write accounting, without requiring an open
@@ -817,7 +945,10 @@ impl PmemHandle {
         let line = line_of(addr);
         let line_was_clean = !self.inner.is_dirty(line);
         self.inner.set_dirty(line);
-        self.inner.journal.record(|| PersistEventKind::Store { addr, value, line_was_clean });
+        self.inner.journal.record(
+            || PersistEventKind::Store { addr, value, line_was_clean },
+            || self.inner.capture(addr, 8),
+        );
     }
 
     /// Non-temporal store: bypasses the cache, updating both images at once.
@@ -827,9 +958,14 @@ impl PmemHandle {
         let w = self.check_word(addr);
         self.stats.nt_stores += 1;
         self.charge_store_and_emit(self.latency.nt_store_cost(), 8, addr, value);
+        // The store reaches both images, so its line's pre-image must be
+        // saved before it lands.
+        if self.inner.journal.capturing() {
+            self.inner.capture(addr, 8);
+        }
         self.inner.volatile[w].store(value, Ordering::Release);
         self.inner.persistent[w].store(value, Ordering::Release);
-        self.inner.journal.record(|| PersistEventKind::NtStore { addr, value });
+        self.inner.journal.record(|| PersistEventKind::NtStore { addr, value }, || {});
     }
 
     /// True if the line containing `addr` has unpersisted stores. Flush
@@ -853,7 +989,7 @@ impl PmemHandle {
         if !self.pending.contains(&line) {
             self.pending.push(line);
         }
-        self.inner.journal.record(|| PersistEventKind::Clwb { line });
+        self.inner.journal.record(|| PersistEventKind::Clwb { line }, || {});
         self.costs.clwb_ns += ns;
         if let Some(buf) = self.trace.as_buf_mut() {
             trace_push(buf, self.clock_ns, EventKind::Clwb, line as u64, 0);
@@ -882,12 +1018,18 @@ impl PmemHandle {
         // Iterate in place and clear afterwards so `pending` keeps its
         // capacity across fence epochs (taking the Vec would free it and
         // force the next clwb to re-allocate). The clone in the closure is
-        // only materialized when the journal is recording.
+        // only materialized when the journal is recording. The dirty bit is
+        // cleared before the copy: a store racing in from another thread
+        // either lands before the copy or re-dirties the line after the
+        // clear, so a clean line always has volatile == persistent.
         for &line in &self.pending {
-            self.inner.writeback_line(line);
             self.inner.clear_dirty(line);
+            self.inner.writeback_line(line);
         }
-        self.inner.journal.record(|| PersistEventKind::Sfence { lines: self.pending.clone() });
+        self.inner.journal.record(
+            || PersistEventKind::Sfence { lines: self.pending.clone() },
+            || {},
+        );
         self.pending.clear();
         self.trace.emit(self.clock_ns, EventKind::Fence, n, 0);
     }
@@ -920,10 +1062,18 @@ impl PmemHandle {
     /// Writes `buf` starting at `addr`, marking spanned lines dirty. Not
     /// atomic; callers must provide their own synchronization.
     pub fn write_bytes(&mut self, addr: PAddr, buf: &[u8]) {
+        // Checked up front so a failing write changes nothing: a partial
+        // write would leave changed lines that are neither dirty nor
+        // captured by an open checkpoint.
+        let size = self.inner.config.size;
+        assert!(
+            buf.is_empty() || addr.saturating_add(buf.len()) <= size,
+            "out-of-bounds write at {:#x}",
+            addr.max(size)
+        );
         for (i, b) in buf.iter().enumerate() {
             let a = addr + i;
             let w = a / 8;
-            assert!(a < self.inner.config.size, "out-of-bounds write at {a:#x}");
             let mut word = self.inner.volatile[w].load(Ordering::Acquire).to_le_bytes();
             word[a % 8] = *b;
             self.inner.volatile[w].store(u64::from_le_bytes(word), Ordering::Release);
@@ -939,7 +1089,10 @@ impl PmemHandle {
             addr,
             len as u64,
         );
-        self.inner.journal.record(|| PersistEventKind::StoreBytes { addr, len });
+        self.inner.journal.record(
+            || PersistEventKind::StoreBytes { addr, len },
+            || self.inner.capture(addr, len),
+        );
     }
 
     /// Atomically ORs `bits` into the word at `addr` (used by lock bitmaps).
@@ -947,14 +1100,13 @@ impl PmemHandle {
         let w = self.check_word(addr);
         self.stats.stores += 1;
         let line_was_clean = !self.inner.is_dirty(line_of(addr));
-        self.inner.set_dirty(line_of(addr));
         let prev = self.inner.volatile[w].fetch_or(bits, Ordering::AcqRel);
+        self.inner.set_dirty(line_of(addr));
         self.charge_store_and_emit(self.latency.store_ns, 8, addr, prev | bits);
-        self.inner.journal.record(|| PersistEventKind::Store {
-            addr,
-            value: prev | bits,
-            line_was_clean,
-        });
+        self.inner.journal.record(
+            || PersistEventKind::Store { addr, value: prev | bits, line_was_clean },
+            || self.inner.capture(addr, 8),
+        );
         prev
     }
 
@@ -963,14 +1115,13 @@ impl PmemHandle {
         let w = self.check_word(addr);
         self.stats.stores += 1;
         let line_was_clean = !self.inner.is_dirty(line_of(addr));
-        self.inner.set_dirty(line_of(addr));
         let prev = self.inner.volatile[w].fetch_and(bits, Ordering::AcqRel);
+        self.inner.set_dirty(line_of(addr));
         self.charge_store_and_emit(self.latency.store_ns, 8, addr, prev & bits);
-        self.inner.journal.record(|| PersistEventKind::Store {
-            addr,
-            value: prev & bits,
-            line_was_clean,
-        });
+        self.inner.journal.record(
+            || PersistEventKind::Store { addr, value: prev & bits, line_was_clean },
+            || self.inner.capture(addr, 8),
+        );
         prev
     }
 
@@ -997,11 +1148,10 @@ impl PmemHandle {
         self.latency.realize(ns);
         if r.is_ok() {
             self.inner.set_dirty(line_of(addr));
-            self.inner.journal.record(|| PersistEventKind::Store {
-                addr,
-                value: new,
-                line_was_clean,
-            });
+            self.inner.journal.record(
+                || PersistEventKind::Store { addr, value: new, line_was_clean },
+                || self.inner.capture(addr, 8),
+            );
         }
         r
     }
@@ -1057,6 +1207,9 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 }
+
+#[cfg(test)]
+mod checkpoint_tests;
 
 #[cfg(test)]
 mod tests {

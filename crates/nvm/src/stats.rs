@@ -55,6 +55,18 @@ impl PersistStats {
         self.global.log_bytes.fetch_add(o.log_bytes, Ordering::Relaxed);
     }
 
+    /// Resets the global half to `s` (checkpoint rollback of the
+    /// pool-global accumulator, whose local half is always zero).
+    pub(crate) fn restore_global(&self, s: &StatsSnapshot) {
+        self.global.loads.store(s.loads, Ordering::Relaxed);
+        self.global.stores.store(s.stores, Ordering::Relaxed);
+        self.global.nt_stores.store(s.nt_stores, Ordering::Relaxed);
+        self.global.clwbs.store(s.clwbs, Ordering::Relaxed);
+        self.global.fences.store(s.fences, Ordering::Relaxed);
+        self.global.lines_persisted.store(s.lines_persisted, Ordering::Relaxed);
+        self.global.log_bytes.store(s.log_bytes, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy combining the local and global halves.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {

@@ -7,6 +7,9 @@
 # recorded failures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Quick-mode bench binaries write their BENCH_*.json here, never over the
+# committed full-run files at the repo root.
+Q=target/bench-quick
 
 echo "== check: proptest regression files present =="
 test -f tests/proptest_crash.proptest-regressions \
@@ -28,6 +31,16 @@ cargo test -q -p ido-workloads --test tier_equivalence
 cargo test -q -p ido-workloads --test decoded_golden
 cargo test -q -p ido-vm --test trace_golden
 cargo test -q -p ido-crashtest --test tier2_oracle
+
+echo "== crash-oracle walker: verdicts identical to fresh replays =="
+# Every (boundary, lost-line subset) verdict of the checkpoint/rollback
+# walker equals the fresh-replay check_crash_state, failure text
+# included, on every standard workload x durable scheme; with an injected
+# bug the shrunk counterexample is the fresh-replay sweep's.
+cargo test -q -p ido-crashtest --test walker_identity
+
+echo "== wide crash-oracle gate: map.ido 4 threads x 8 ops, six durable schemes =="
+cargo test -q --release -p ido-repro --test corpus -- --ignored wide_crash_oracle
 
 echo "== static atomicity lint + differential smoke (verify_report) =="
 # Lints every standard workload under every scheme and cross-checks the
@@ -59,16 +72,13 @@ IDO_TRACE=0 IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin interp_b
 
 echo "== sweep determinism: IDO_JOBS=2 must match IDO_JOBS=1 =="
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin interp_bench
-cp BENCH_interp.json /tmp/bench_jobs1.json
+cp $Q/BENCH_interp.json $Q/BENCH_interp.jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin interp_bench
 # Steps (and everything else derived from simulation state) are identical
 # across job counts; only wall-clock fields may differ.
-for f in /tmp/bench_jobs1.json BENCH_interp.json; do
-  grep -o '"steps": [0-9]*' "$f" > "$f.steps"
-done
-diff /tmp/bench_jobs1.json.steps BENCH_interp.json.steps \
+diff <(grep -o '"steps": [0-9]*' $Q/BENCH_interp.jobs1.json) \
+  <(grep -o '"steps": [0-9]*' $Q/BENCH_interp.json) \
   || { echo "IDO_JOBS=2 changed simulation results"; exit 1; }
-rm -f /tmp/bench_jobs1.json /tmp/bench_jobs1.json.steps BENCH_interp.json.steps
 
 echo "== allocator crash sweeps (persist-trap boundary enumeration) =="
 # Named gates for the sharded two-level allocator: every-flush-boundary
@@ -87,21 +97,16 @@ cargo test -q -p ido-workloads --test service_metrics
 cargo test -q -p ido-workloads --test no_alloc_hot_loop
 
 echo "== service bench smoke (crash under load, online-recovery windows) =="
-# Quick-mode runs rewrite BENCH_service.json; preserve the committed
-# full-run numbers and restore them after the determinism diff. The
-# binary itself asserts the crash lands mid-traffic for every durable
+# The binary itself asserts the crash lands mid-traffic for every durable
 # scheme, re-verifies the recovered table, and validates every emitted
 # JSON artifact before writing it.
-cp BENCH_service.json /tmp/bench_service_committed.json
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin service_bench
-cp BENCH_service.json /tmp/bench_service_jobs1.json
+cp $Q/BENCH_service.json $Q/BENCH_service.jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin service_bench
 # BENCH_service.json holds only simulated quantities, so it must be
 # byte-identical for any worker count.
-cmp /tmp/bench_service_jobs1.json BENCH_service.json \
+cmp $Q/BENCH_service.jobs1.json $Q/BENCH_service.json \
   || { echo "IDO_JOBS=2 changed service bench results"; exit 1; }
-mv /tmp/bench_service_committed.json BENCH_service.json
-rm -f /tmp/bench_service_jobs1.json
 
 echo "== metrics-off overhead guard (best-of-7 wall ns/step) =="
 # Disabled metrics must stay one untaken branch per marker: the guard
@@ -126,34 +131,24 @@ cargo test -q -p ido-lockfree --test rcas_proptest
 cargo test -q -p ido-metrics
 
 echo "== lock-free contention smoke (quick mode, window <= eager clwb gate) =="
-# Quick-mode runs rewrite BENCH_lockfree.json; preserve the committed
-# full-sweep numbers and restore them after the determinism diff. The
-# binary itself asserts every point completes and that window flushing
-# never issues more clwbs than eager flushing.
-cp BENCH_lockfree.json /tmp/bench_lockfree_committed.json
+# The binary itself asserts every point completes and that window
+# flushing never issues more clwbs than eager flushing.
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin lockfree_bench
-cp BENCH_lockfree.json /tmp/bench_lockfree_jobs1.json
+cp $Q/BENCH_lockfree.json $Q/BENCH_lockfree.jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin lockfree_bench
 # BENCH_lockfree.json holds only simulated quantities, so it must be
 # byte-identical for any worker count.
-cmp /tmp/bench_lockfree_jobs1.json BENCH_lockfree.json \
+cmp $Q/BENCH_lockfree.jobs1.json $Q/BENCH_lockfree.json \
   || { echo "IDO_JOBS=2 changed lock-free bench results"; exit 1; }
-mv /tmp/bench_lockfree_committed.json BENCH_lockfree.json
-rm -f /tmp/bench_lockfree_jobs1.json
 
 echo "== allocator scaling smoke (quick mode, asserts >= 4x at 64T) =="
-# Quick-mode runs rewrite BENCH_alloc.json; preserve the committed
-# full-sweep numbers and restore them after the determinism diff.
-cp BENCH_alloc.json /tmp/bench_alloc_committed.json
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin alloc_bench
-cp BENCH_alloc.json /tmp/bench_alloc_jobs1.json
+cp $Q/BENCH_alloc.json $Q/BENCH_alloc.jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin alloc_bench
 # BENCH_alloc.json holds only simulated quantities, so it must be
 # byte-identical for any worker count.
-cmp /tmp/bench_alloc_jobs1.json BENCH_alloc.json \
+cmp $Q/BENCH_alloc.jobs1.json $Q/BENCH_alloc.json \
   || { echo "IDO_JOBS=2 changed allocator bench results"; exit 1; }
-mv /tmp/bench_alloc_committed.json BENCH_alloc.json
-rm -f /tmp/bench_alloc_jobs1.json
 
 echo "== textual frontend gates: corpus round-trip, diagnostics goldens, fuzz =="
 # Named gates for the `.ido` frontend: the corpus suite (parse +

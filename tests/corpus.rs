@@ -16,7 +16,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use ido_compiler::{instrument_program, Scheme};
-use ido_crashtest::OracleConfig;
+use ido_crashtest::{OracleConfig, DURABLE_SCHEMES};
 use ido_lang::{parse_program_text, parse_scenario, Scenario};
 use ido_nvm::StatsSnapshot;
 use ido_trace::{Trace, TraceConfig};
@@ -284,5 +284,23 @@ fn corpus_scenarios_survive_the_crash_oracle_smoke() {
             exploration.counterexample.is_none(),
             "{name}.ido: crash-oracle smoke found a counterexample:\n{exploration}"
         );
+    }
+}
+
+/// The wide crash-oracle gate: `map.ido` at 4 threads x 8 ops under all
+/// six durable schemes, every persist boundary with the default subset
+/// rules. Affordable only in release mode; `scripts/ci.sh` runs it with
+/// `cargo test --release -p ido-repro --test corpus -- --ignored`.
+#[test]
+#[ignore = "release-mode gate run by scripts/ci.sh"]
+fn wide_crash_oracle_map_4x8_all_durable_schemes() {
+    let (_, scenario) = parse_corpus("map");
+    let spec = scenario.spec();
+    let mut cfg = OracleConfig { threads: 4, ops_per_thread: 8, seed: scenario.seed, ..OracleConfig::default() };
+    cfg.vm.tier = scenario.tier;
+    for scheme in DURABLE_SCHEMES {
+        let exploration = ido_crashtest::explore(&spec, scheme, &cfg);
+        println!("{exploration}");
+        assert!(exploration.counterexample.is_none(), "map.ido 4x8: {exploration}");
     }
 }
