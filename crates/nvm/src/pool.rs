@@ -1,6 +1,8 @@
 //! The simulated persistent memory pool and per-thread access handles.
 
-use std::collections::BTreeSet;
+use std::alloc::Layout;
+use std::collections::{BTreeSet, HashSet};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -114,12 +116,12 @@ impl PoolConfig {
 
 struct Inner {
     /// The cache + DRAM view: what loads and stores observe pre-crash.
-    volatile: Vec<AtomicU64>,
+    volatile: ZeroedWords,
     /// The NVM view: what survives a crash.
-    persistent: Vec<AtomicU64>,
+    persistent: ZeroedWords,
     /// One bit per cache line: set if the volatile line differs from the
     /// persistent line by an un-written-back store.
-    dirty: Vec<AtomicU64>,
+    dirty: ZeroedWords,
     config: PoolConfig,
     crashes: AtomicU64,
     global_stats: PersistStats,
@@ -253,30 +255,118 @@ impl std::fmt::Debug for PmemPool {
     }
 }
 
-/// Allocates `n` zeroed `AtomicU64`s without writing them.
+/// A fixed-length array of zero-initialised `AtomicU64`s: a pool image or
+/// the dirty bitmap.
 ///
-/// `AtomicU64` is `repr(transparent)` over `u64` and all-zeros is a valid
-/// value, so `alloc_zeroed` (which hands back untouched zero pages from the
-/// OS) is a correct initializer. This makes pool construction O(1) in
-/// memory touched instead of a multi-megabyte memset per VM — and the crash
-/// oracle and the figure sweeps build a fresh VM per crash state / data
-/// point, so construction cost is on their critical path.
-fn zeroed_atomics(n: usize) -> Vec<AtomicU64> {
-    use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
-    if n == 0 {
-        return Vec::new();
+/// On Linux each array is its own anonymous `mmap`, returned with `munmap`
+/// on drop. The kernel maps a fresh zero page on each page's first touch,
+/// so building a pool costs time in proportion to the pages a run touches,
+/// not to the pool size. `alloc_zeroed` on the global allocator does not
+/// promise that: glibc serves a request from a fresh mapping only above
+/// its dynamic mmap threshold, and freeing such a mapping raises the
+/// threshold (up to 32 MiB). After the first 16 MiB pool of a process was
+/// dropped, every later one came from reused heap memory, which `calloc`
+/// clears with a memset: 2–4 ms per pool, whether or not the run
+/// touched it. Other targets keep `alloc_zeroed`.
+struct ZeroedWords {
+    ptr: NonNull<AtomicU64>,
+    len: usize,
+}
+
+// SAFETY: `ZeroedWords` owns its words exclusively, like a `Box<[AtomicU64]>`.
+unsafe impl Send for ZeroedWords {}
+// SAFETY: shared access only reaches the words through `&[AtomicU64]`.
+unsafe impl Sync for ZeroedWords {}
+
+impl ZeroedWords {
+    fn new(len: usize) -> Self {
+        let layout = Self::layout(len);
+        // A pool holds at least one line, so no array is empty.
+        assert!(layout.size() != 0, "empty pool array");
+        // SAFETY: the layout has a nonzero size.
+        let ptr = unsafe { zero_pages::alloc(layout) };
+        let ptr = NonNull::new(ptr).unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
+        ZeroedWords { ptr: ptr.cast(), len }
     }
-    let layout = Layout::array::<AtomicU64>(n).expect("pool allocation fits a Layout");
-    // SAFETY: the pointer comes from the global allocator with exactly the
-    // layout `Vec`'s drop will deallocate with (len == capacity == n), and
-    // the zero bit pattern is a valid `AtomicU64` for all n elements.
-    unsafe {
-        let ptr = alloc_zeroed(layout) as *mut AtomicU64;
-        if ptr.is_null() {
-            handle_alloc_error(layout);
+
+    fn layout(len: usize) -> Layout {
+        Layout::array::<AtomicU64>(len).expect("pool allocation fits a Layout")
+    }
+}
+
+impl std::ops::Deref for ZeroedWords {
+    type Target = [AtomicU64];
+
+    #[inline]
+    fn deref(&self) -> &[AtomicU64] {
+        // SAFETY: `ptr` points to `len` initialised words (all-zeros is a
+        // valid `AtomicU64`) that live until `self` is dropped.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for ZeroedWords {
+    fn drop(&mut self) {
+        // SAFETY: `ptr` came from `zero_pages::alloc` with this layout.
+        unsafe { zero_pages::free(self.ptr.as_ptr().cast(), Self::layout(self.len)) }
+    }
+}
+
+/// Zero-filled memory straight from the kernel: anonymous private
+/// mappings. The constants are the generic Linux ABI values, shared by
+/// the architectures named in the `cfg`.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64", target_arch = "riscv64")
+))]
+mod zero_pages {
+    use std::alloc::Layout;
+    use std::ffi::c_void;
+
+    const PROT_READ: i32 = 0x1;
+    const PROT_WRITE: i32 = 0x2;
+    const MAP_PRIVATE: i32 = 0x02;
+    const MAP_ANONYMOUS: i32 = 0x20;
+
+    extern "C" {
+        fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
+            -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+
+    /// Zero-filled memory for `layout`, or null on failure. Mappings are
+    /// page-aligned, which covers any `AtomicU64` layout.
+    ///
+    /// # Safety
+    /// `layout` must have a nonzero size.
+    pub unsafe fn alloc(layout: Layout) -> *mut u8 {
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS;
+        let p = mmap(std::ptr::null_mut(), layout.size(), PROT_READ | PROT_WRITE, flags, -1, 0);
+        // MAP_FAILED is (void *)-1.
+        if p as usize == usize::MAX {
+            std::ptr::null_mut()
+        } else {
+            p.cast()
         }
-        Vec::from_raw_parts(ptr, n, n)
     }
+
+    /// Unmaps memory from [`alloc`]. `munmap` fails only on arguments no
+    /// `alloc` result has, and a drop has no caller to report to.
+    ///
+    /// # Safety
+    /// `ptr` must come from [`alloc`] with the same `layout`, and must not
+    /// be used afterwards.
+    pub unsafe fn free(ptr: *mut u8, layout: Layout) {
+        munmap(ptr.cast(), layout.size());
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64", target_arch = "riscv64")
+)))]
+mod zero_pages {
+    pub use std::alloc::{alloc_zeroed as alloc, dealloc as free};
 }
 
 impl PmemPool {
@@ -285,7 +375,7 @@ impl PmemPool {
         let size = config.size.next_multiple_of(CACHE_LINE).max(CACHE_LINE);
         let words = size / 8;
         let lines = size / CACHE_LINE;
-        let mk = zeroed_atomics;
+        let mk = ZeroedWords::new;
         let config = PoolConfig { size, ..config };
         let trace = config.trace;
         let metrics = config.metrics;
@@ -356,7 +446,7 @@ impl PmemPool {
             inner: Arc::clone(&self.inner),
             latency: self.inner.config.latency,
             clock_ns: 0,
-            pending: Vec::new(),
+            pending: WritebackQueue::default(),
             stats: PersistStats::default(),
             trace,
             metrics,
@@ -636,7 +726,7 @@ impl PmemPool {
     pub fn persistent_snapshot(&self) -> Vec<u8> {
         let inner = &*self.inner;
         let mut out = Vec::with_capacity(inner.config.size);
-        for w in &inner.persistent {
+        for w in inner.persistent.iter() {
             out.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
         }
         out
@@ -686,7 +776,7 @@ pub struct PmemHandle {
     inner: Arc<Inner>,
     latency: LatencyModel,
     clock_ns: u64,
-    pending: Vec<usize>,
+    pending: WritebackQueue,
     stats: PersistStats,
     trace: TraceHandle,
     metrics: MetricsHandle,
@@ -709,7 +799,7 @@ impl std::fmt::Debug for PmemHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmemHandle")
             .field("clock_ns", &self.clock_ns)
-            .field("pending_writebacks", &self.pending.len())
+            .field("pending_writebacks", &self.pending.lines.len())
             .finish()
     }
 }
@@ -986,9 +1076,7 @@ impl PmemHandle {
         self.stats.clwbs += 1;
         let ns = self.latency.clwb_issue_ns;
         self.clock_ns += ns;
-        if !self.pending.contains(&line) {
-            self.pending.push(line);
-        }
+        self.pending.push(line);
         self.inner.journal.record(|| PersistEventKind::Clwb { line }, || {});
         self.costs.clwb_ns += ns;
         if let Some(buf) = self.trace.as_buf_mut() {
@@ -1008,7 +1096,7 @@ impl PmemHandle {
     /// reach the persistent image, then returns. Cost grows with the number
     /// of pending lines (each needs a round trip to the memory controller).
     pub fn sfence(&mut self) {
-        let n = self.pending.len() as u64;
+        let n = self.pending.lines.len() as u64;
         self.stats.fences += 1;
         self.stats.lines_persisted += n;
         let ns = self.latency.fence_cost(n);
@@ -1022,12 +1110,12 @@ impl PmemHandle {
         // cleared before the copy: a store racing in from another thread
         // either lands before the copy or re-dirties the line after the
         // clear, so a clean line always has volatile == persistent.
-        for &line in &self.pending {
+        for &line in &self.pending.lines {
             self.inner.clear_dirty(line);
             self.inner.writeback_line(line);
         }
         self.inner.journal.record(
-            || PersistEventKind::Sfence { lines: self.pending.clone() },
+            || PersistEventKind::Sfence { lines: self.pending.lines.clone() },
             || {},
         );
         self.pending.clear();
@@ -1042,7 +1130,7 @@ impl PmemHandle {
 
     /// Number of write-backs issued but not yet fenced.
     pub fn pending_writebacks(&self) -> usize {
-        self.pending.len()
+        self.pending.lines.len()
     }
 
     /// Reads `buf.len()` bytes starting at `addr`. Not atomic; callers must
@@ -1180,6 +1268,59 @@ impl Drop for PmemHandle {
         }
         if let Some(buf) = self.metrics.take() {
             self.inner.metrics_bufs.lock().expect("metrics collector poisoned").push(buf);
+        }
+    }
+}
+
+/// A handle's issued-but-unfenced write-backs, each line once, in the
+/// order first issued. That order is observable: an `sfence` writes the
+/// lines back in it, and its [`PersistEventKind::Sfence`] journal event,
+/// which crash-oracle counterexamples print, lists them in it.
+///
+/// A FASE queues a few lines per fence, and a scan of so short a queue
+/// is the cheapest duplicate check. Recovery can queue one line per log
+/// entry under a single fence (tens of thousands under Atlas), where a
+/// scan per `clwb` would be quadratic; past [`Self::SCAN_MAX`] lines the
+/// queue is mirrored in a set. Both keep their capacity across fences.
+#[derive(Default)]
+struct WritebackQueue {
+    lines: Vec<usize>,
+    /// Empty, or exactly the members of `lines` once it has reached
+    /// `SCAN_MAX` entries in this fence epoch.
+    set: HashSet<usize>,
+}
+
+impl WritebackQueue {
+    /// Longest queue checked for duplicates by a scan.
+    const SCAN_MAX: usize = 16;
+
+    #[inline]
+    fn push(&mut self, line: usize) {
+        if self.lines.len() >= Self::SCAN_MAX {
+            self.push_long(line);
+        } else if !self.lines.contains(&line) {
+            self.lines.push(line);
+        }
+    }
+
+    /// Out of line, so the `clwb` that inlines [`Self::push`] carries
+    /// only the scan.
+    #[inline(never)]
+    fn push_long(&mut self, line: usize) {
+        if self.set.is_empty() {
+            self.set.extend(self.lines.iter().copied());
+        }
+        if self.set.insert(line) {
+            self.lines.push(line);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.lines.clear();
+        // Only a promoted queue filled the set; skipping the empty case
+        // keeps a fence independent of the set's capacity.
+        if !self.set.is_empty() {
+            self.set.clear();
         }
     }
 }
@@ -1393,6 +1534,126 @@ mod tests {
         h.clwb(128);
         h.clwb(136);
         assert_eq!(h.pending_writebacks(), 1);
+    }
+
+    /// The lines of the single `Sfence` event in the journal's tail.
+    fn fenced_lines(p: &PmemPool) -> Vec<usize> {
+        let fences: Vec<_> = p
+            .journal_tail(usize::MAX)
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                PersistEventKind::Sfence { lines } => Some(lines),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fences.len(), 1, "one fence per epoch");
+        fences.into_iter().next().unwrap()
+    }
+
+    /// Queues `lines` with a re-issue of an earlier line after each new
+    /// one, so duplicates arrive at every queue length, then re-issues all
+    /// of them in reverse.
+    fn issue_with_duplicates(h: &mut PmemHandle, lines: &[usize]) {
+        for (i, &l) in lines.iter().enumerate() {
+            h.clwb(l * CACHE_LINE + 8);
+            h.clwb(lines[i / 2] * CACHE_LINE);
+            assert_eq!(h.pending_writebacks(), i + 1);
+        }
+        for &l in lines.iter().rev() {
+            h.clwb(l * CACHE_LINE + 56);
+        }
+    }
+
+    #[test]
+    fn writeback_queue_keeps_first_issue_order_across_the_scan_limit() {
+        const SCAN: usize = WritebackQueue::SCAN_MAX;
+        for n in [SCAN - 1, SCAN, SCAN + 1, 1000] {
+            let mut cfg = PoolConfig::small_for_tests();
+            cfg.latency = LatencyModel::default();
+            let p = PmemPool::new(cfg);
+            let lat = p.latency();
+            let mut h = p.handle();
+            // Distinct lines in an order that is neither sorted nor
+            // reverse-sorted: 7919 is prime, so `i * 7919 mod 16384` never
+            // repeats.
+            let lines: Vec<usize> = (0..n).map(|i| i * 7919 % 16384).collect();
+            for &l in &lines {
+                h.write_u64(l * CACHE_LINE, l as u64 + 1);
+            }
+            for epoch in 0..2 {
+                // The second epoch reuses the (promoted) queue with a
+                // different order; stale entries would show as duplicates.
+                let order: Vec<usize> =
+                    if epoch == 0 { lines.clone() } else { lines.iter().rev().copied().collect() };
+                p.record_journal(1 << 14);
+                issue_with_duplicates(&mut h, &order);
+                assert_eq!(h.pending_writebacks(), n, "n = {n}");
+                let (t0, persisted0) = (h.clock_ns(), h.stats().lines_persisted);
+                h.sfence();
+                assert_eq!(h.clock_ns() - t0, lat.fence_cost(n as u64), "n = {n}");
+                assert_eq!(h.stats().lines_persisted - persisted0, n as u64);
+                assert_eq!(h.pending_writebacks(), 0);
+                assert_eq!(fenced_lines(&p), order, "n = {n}, epoch {epoch}");
+                p.stop_journal();
+                p.clear_journal();
+            }
+            assert!(p.dirty_lines().is_empty());
+            for &l in &lines {
+                assert_eq!(p.read_u64_persistent(l * CACHE_LINE), l as u64 + 1);
+            }
+        }
+    }
+
+    /// Stores to and fences every line of a pool, so both images are
+    /// nonzero everywhere when it is dropped.
+    fn fill_and_drop(p: PmemPool) {
+        let mut h = p.handle();
+        for l in 0..p.size() / CACHE_LINE {
+            h.write_u64(l * CACHE_LINE + l % WORDS_PER_LINE * 8, l as u64 + 1);
+            h.clwb(l * CACHE_LINE);
+            if l % 64 == 63 {
+                h.sfence();
+            }
+        }
+        h.sfence();
+        drop(h);
+        assert!(p.dirty_lines().is_empty());
+        assert!(p.persistent_snapshot().iter().any(|&b| b != 0));
+    }
+
+    #[test]
+    fn pools_built_after_dropped_pools_start_zeroed() {
+        let cfg = PoolConfig { size: PoolConfig::default().size, ..PoolConfig::small_for_tests() };
+        for _ in 0..8 {
+            fill_and_drop(PmemPool::new(cfg.clone()));
+        }
+        let p = PmemPool::new(cfg);
+        assert!(p.persistent_snapshot().iter().all(|&b| b == 0), "persistent image");
+        assert!(p.dirty_lines().is_empty(), "dirty bitmap");
+        let mut h = p.handle();
+        for addr in (0..p.size()).step_by(8) {
+            assert_eq!(h.read_u64(addr), 0, "volatile word at {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn a_pool_clone_keeps_the_images_alive() {
+        let p = pool();
+        let q = p.clone();
+        let mut h = p.handle();
+        h.write_u64(256, 7);
+        h.persist(256, 8);
+        h.write_u64(512, 9);
+        drop(h);
+        drop(p);
+        assert_eq!(q.read_u64_persistent(256), 7);
+        assert_eq!(q.dirty_lines(), vec![8]);
+        let mut h = q.handle();
+        assert_eq!(h.read_u64(512), 9);
+        drop(q);
+        // The handle holds the pool too.
+        h.persist(512, 8);
+        assert_eq!(h.read_u64(512), 9);
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn reference_crash(p: &PmemPool, seed: u64, policy: &CrashPolicy) -> CrashOutcom
         }
         inner.clear_dirty(l);
     }
-    for (v, p) in inner.volatile.iter().zip(&inner.persistent) {
+    for (v, p) in inner.volatile.iter().zip(inner.persistent.iter()) {
         v.store(p.load(Ordering::Relaxed), Ordering::Relaxed);
     }
     inner.crashes.fetch_add(1, Ordering::Relaxed);

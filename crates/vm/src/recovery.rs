@@ -406,6 +406,44 @@ struct FaseRec {
     releases: Vec<(u64, u64)>,  // (lock, stamp)
 }
 
+/// The FASEs Atlas must roll back: every interrupted FASE, plus every
+/// FASE that acquired a lock whose observed release stamp was produced
+/// by one it must roll back (an acquire that observed no release,
+/// stamp 0, depends on nothing). A worklist follows the reverse edges,
+/// from each releasing FASE to the FASEs that observed its releases, out
+/// of the interrupted ones, so each acquire is examined once. Host work
+/// only: it charges no simulated time.
+fn invalidated(fases: &[FaseRec]) -> Vec<bool> {
+    let mut release_owner: HashMap<(u64, u64), usize> = HashMap::new();
+    for (fi, f) in fases.iter().enumerate() {
+        for &(lock, stamp) in &f.releases {
+            release_owner.insert((lock, stamp), fi);
+        }
+    }
+    let mut observers: Vec<Vec<usize>> = vec![Vec::new(); fases.len()];
+    for (fi, f) in fases.iter().enumerate() {
+        for &(lock, observed) in &f.acquires {
+            if observed == 0 {
+                continue;
+            }
+            if let Some(&owner) = release_owner.get(&(lock, observed)) {
+                observers[owner].push(fi);
+            }
+        }
+    }
+    let mut undone: Vec<bool> = fases.iter().map(|f| !f.committed).collect();
+    let mut work: Vec<usize> = (0..fases.len()).filter(|&fi| undone[fi]).collect();
+    while let Some(owner) = work.pop() {
+        for &fi in &observers[owner] {
+            if !undone[fi] {
+                undone[fi] = true;
+                work.push(fi);
+            }
+        }
+    }
+    undone
+}
+
 /// Atlas recovery: consistent-cut computation plus rollback. Returns
 /// `false` (mid-protocol, unfenced) on budget exhaustion.
 fn recover_atlas(
@@ -474,39 +512,8 @@ fn recover_atlas(
     let resume_t0 = h.clock_ns();
     h.trace_event(EventKind::RecoveryBegin, RecoveryPhase::Resume as u64, 0);
 
-    // 2. Compute the invalidated set: interrupted FASEs, plus (to a fixed
-    // point) any FASE that acquired a lock whose observed release stamp was
-    // produced by an invalidated FASE.
-    let mut release_owner: HashMap<(u64, u64), usize> = HashMap::new();
-    for (fi, f) in fases.iter().enumerate() {
-        for &(lock, stamp) in &f.releases {
-            release_owner.insert((lock, stamp), fi);
-        }
-    }
-    let mut undone: Vec<bool> = fases.iter().map(|f| !f.committed).collect();
-    loop {
-        let mut changed = false;
-        for fi in 0..fases.len() {
-            if undone[fi] {
-                continue;
-            }
-            for &(lock, observed) in &fases[fi].acquires {
-                if observed == 0 {
-                    continue;
-                }
-                if let Some(&owner) = release_owner.get(&(lock, observed)) {
-                    if undone[owner] {
-                        undone[fi] = true;
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    // 2. Compute the invalidated set.
+    let undone = invalidated(&fases);
 
     // 3. Roll back all invalidated FASEs' stores in reverse stamp order.
     let mut rollback: Vec<(u64, u64, u64)> = Vec::new();
@@ -673,4 +680,143 @@ fn recover_redo(
     }
     report.sim_ns += rc.per_thread_ns * entries.len() as u64 + h.clock_ns();
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The fixed-point sweep `invalidated` replaced: repeat passes over
+    /// every FASE until none changes. Also returns the number of passes
+    /// that changed something, a lower bound on the longest chain of
+    /// FASEs invalidated through one another.
+    fn invalidated_fixed_point(fases: &[FaseRec]) -> (Vec<bool>, usize) {
+        let mut release_owner: HashMap<(u64, u64), usize> = HashMap::new();
+        for (fi, f) in fases.iter().enumerate() {
+            for &(lock, stamp) in &f.releases {
+                release_owner.insert((lock, stamp), fi);
+            }
+        }
+        let mut undone: Vec<bool> = fases.iter().map(|f| !f.committed).collect();
+        let mut passes = 0;
+        loop {
+            let mut changed = false;
+            for fi in 0..fases.len() {
+                if undone[fi] {
+                    continue;
+                }
+                for &(lock, observed) in &fases[fi].acquires {
+                    if observed == 0 {
+                        continue;
+                    }
+                    if let Some(&owner) = release_owner.get(&(lock, observed)) {
+                        if undone[owner] {
+                            undone[fi] = true;
+                            changed = true;
+                            break;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+            passes += 1;
+        }
+        (undone, passes)
+    }
+
+    fn fase(committed: bool, acquires: &[(u64, u64)], releases: &[(u64, u64)]) -> FaseRec {
+        FaseRec {
+            committed,
+            undo: Vec::new(),
+            acquires: acquires.to_vec(),
+            releases: releases.to_vec(),
+        }
+    }
+
+    /// xorshift64*: enough randomness for graph shapes.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+        }
+    }
+
+    /// A random FASE graph. Stamps per lock rise in creation order, but
+    /// FASEs are listed by thread, so an observer often precedes the
+    /// releasing FASE in the slice. Acquires observe a random earlier
+    /// release of their lock, none (stamp 0), or a stamp nobody released
+    /// (a release lost with an unscanned log tail).
+    fn random_fases(rng: &mut Rng) -> Vec<FaseRec> {
+        let n = 1 + rng.next(40) as usize;
+        let locks = 1 + rng.next(4);
+        let threads = 1 + rng.next(4) as usize;
+        let mut released: Vec<Vec<u64>> = vec![Vec::new(); locks as usize];
+        let mut by_thread: Vec<Vec<FaseRec>> = (0..threads).map(|_| Vec::new()).collect();
+        for _ in 0..n {
+            let mut f = fase(rng.next(5) != 0, &[], &[]);
+            for _ in 0..rng.next(3) {
+                let lock = rng.next(locks);
+                let seen = &released[lock as usize];
+                let observed = match rng.next(6) {
+                    0 => 0,
+                    1 => 1_000_000 + rng.next(10),
+                    _ if seen.is_empty() => 0,
+                    // Mostly the latest release: long chains through one lock.
+                    2 => seen[rng.next(seen.len() as u64) as usize],
+                    _ => *seen.last().unwrap(),
+                };
+                f.acquires.push((lock, observed));
+            }
+            for _ in 0..rng.next(3) {
+                let lock = rng.next(locks);
+                let stamps = &mut released[lock as usize];
+                let stamp = stamps.last().copied().unwrap_or(0) + 1;
+                stamps.push(stamp);
+                f.releases.push((lock, stamp));
+            }
+            by_thread[rng.next(threads as u64) as usize].push(f);
+        }
+        by_thread.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn worklist_invalidation_matches_the_fixed_point() {
+        let mut deepest = 0;
+        let mut cascades = 0;
+        for seed in 1..=2000u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let fases = random_fases(&mut rng);
+            let (want, passes) = invalidated_fixed_point(&fases);
+            assert_eq!(invalidated(&fases), want, "seed {seed}");
+            deepest = deepest.max(passes);
+            cascades += usize::from(passes > 0);
+        }
+        assert!(deepest > 2, "no chain longer than 2 was generated (deepest {deepest})");
+        assert!(cascades > 200, "too few graphs invalidated a committed FASE ({cascades})");
+    }
+
+    #[test]
+    fn invalidation_follows_a_chain_listed_backwards() {
+        // FASE 4 is interrupted; 3 observed its release of lock 1, 2 of
+        // 3's, and so on. A stamp-0 acquire and an unreleased stamp add
+        // no edge; a different lock with the same stamp is a different
+        // release.
+        let fases = vec![
+            fase(true, &[(1, 4)], &[]),
+            fase(true, &[(1, 3)], &[(1, 4)]),
+            fase(true, &[(1, 2)], &[(1, 3)]),
+            fase(true, &[(1, 1), (2, 0)], &[(1, 2)]),
+            fase(false, &[], &[(1, 1), (3, 9)]),
+            fase(true, &[(2, 0), (1, 77), (4, 1)], &[(2, 1)]),
+        ];
+        let undone = invalidated(&fases);
+        assert_eq!(undone, [true, true, true, true, true, false]);
+        assert_eq!((undone, 4), invalidated_fixed_point(&fases));
+    }
 }

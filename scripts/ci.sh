@@ -188,4 +188,20 @@ cmp /tmp/ido_run_jobs1.json /tmp/ido_run_envjobs.json \
   || { echo "IDO_JOBS=2 changed ido run output"; exit 1; }
 rm -f /tmp/ido_run_jobs1.json /tmp/ido_run_jobs2.json /tmp/ido_run_envjobs.json
 
+echo "== perfbench smoke: the benchmark builds and runs clean against the crates =="
+# perfbench is its own package, outside the workspace, so nothing above
+# builds it: a crate API change that breaks the benchmark would go
+# unnoticed until the benchmark runs. Each workload runs a short window;
+# its result line must report "correct": true and "failed": 0.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+for w in scenario_e2e crash_oracle; do
+  line=$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  echo "$w: $line"
+  case "$line" in
+    *'"correct": true, '*'"failed": 0, '*) ;;
+    *) echo "perfbench $w did not run clean"; exit 1 ;;
+  esac
+done
+
 echo "CI OK"
